@@ -128,6 +128,22 @@ val optimize :
     to a store-less run.
     @raise Env.Rejected when every order is rejected. *)
 
+val interchange_classes :
+  ?base:Amg_layout.Lobj.t -> rating:Rating.t -> step list -> int array
+(** Symmetry classes of a step list: [(interchange_classes steps).(i)] is
+    the position of the first step interchangeable with step [i] ([i]
+    itself when there is none).  Two steps are interchangeable when
+    exchanging them in any order only renames nets, so every order and its
+    exchange rate the same: equal [dir], [align], [ignore_layers] and
+    [variable_edges]; objects equal up to one consistent bijective renaming
+    of nets (shapes in slot order, arrays, next id, port geometry); every
+    net of both private — named by no other step and not by [?base]; no
+    net of theirs sensitive under a [rating] with a capacitance term; and
+    the strict policy in force (under the permissive one every step is its
+    own class).  {!optimize_bb} and {!optimize_local} use the classes to
+    skip orders that only repeat a canonical one — counted as
+    [optimize.symmetric_skips] — without changing their results. *)
+
 val optimize_bb :
   Env.t ->
   name:string ->

@@ -180,6 +180,8 @@ let shapes t =
 
 let shape_count t = t.live
 
+let next_id t = t.next_id
+
 let find t id =
   match Hashtbl.find_opt t.id2slot id with
   | None -> None

@@ -35,6 +35,10 @@ val shapes : t -> Shape.t list
 
 val shape_count : t -> int
 
+val next_id : t -> int
+(** The id the next added shape or array gets — also the id offset an
+    object absorbed after this one receives (see {!absorb}). *)
+
 val find : t -> int -> Shape.t option
 val find_exn : t -> int -> Shape.t
 

@@ -116,6 +116,19 @@ let gauge_fn ?(labels = []) name f =
   in
   cell := f
 
+(* Forcing a [lazy] that another domain is forcing raises
+   [CamlinternalLazy.Undefined]; an atomic cell over an idempotent
+   registration has no such window. *)
+let once register =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some h -> h
+    | None ->
+        let h = register () in
+        Atomic.set cell (Some h);
+        h
+
 (* --- histograms --- *)
 
 (* 0.25 ms .. ~524 s, factor 2 per bucket: 22 bounds, resolving the

@@ -60,6 +60,13 @@ val gauge_fn : ?labels:(string * string) list -> string -> (unit -> float) -> un
 (** Callback-backed gauge, sampled at snapshot time.  Re-registering
     replaces the callback. *)
 
+val once : (unit -> 'a) -> unit -> 'a
+(** [once register] is a module-level handle getter that registers on
+    first use, e.g. [let m_hits = once (fun () -> counter "x.hits")].
+    Unlike a [lazy], it may be first used by several domains at once:
+    racing callers each run [register], which must be a find-or-register
+    (every registration above is), and so get the same instrument. *)
+
 (** {1 Histograms} — fixed log-spaced buckets, exact counts. *)
 
 type histogram

@@ -69,20 +69,20 @@ let max_payload = 1 lsl 24
 
 (* --- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) ------------------- *)
 
+(* Built at module initialisation: a lazy table raced when two domains
+   checksummed their first records at once. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s pos len =
-  let table = Lazy.force crc_table in
   let crc = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    crc := table.((!crc lxor Char.code (Bytes.unsafe_get s i)) land 0xFF) lxor (!crc lsr 8)
+    crc := crc_table.((!crc lxor Char.code (Bytes.unsafe_get s i)) land 0xFF) lxor (!crc lsr 8)
   done;
   !crc lxor 0xFFFFFFFF
 
@@ -158,16 +158,16 @@ let decode_payload data pos len =
 
 (* --- metrics ------------------------------------------------------------ *)
 
-let m_hits = lazy (Metrics.counter "store.hits")
-let m_misses = lazy (Metrics.counter "store.misses")
-let m_writes = lazy (Metrics.counter "store.writes")
-let m_write_failures = lazy (Metrics.counter "store.write_failures")
-let m_recoveries = lazy (Metrics.counter "store.recoveries")
-let m_recovered = lazy (Metrics.counter "store.recovered_records")
-let m_torn = lazy (Metrics.counter "store.torn_tail_truncations")
-let m_corrupt = lazy (Metrics.counter "store.corrupt_records")
-let m_checkpoints = lazy (Metrics.counter "store.checkpoints")
-let bump m = Metrics.incr (Lazy.force m)
+let m_hits = Metrics.once (fun () -> Metrics.counter "store.hits")
+let m_misses = Metrics.once (fun () -> Metrics.counter "store.misses")
+let m_writes = Metrics.once (fun () -> Metrics.counter "store.writes")
+let m_write_failures = Metrics.once (fun () -> Metrics.counter "store.write_failures")
+let m_recoveries = Metrics.once (fun () -> Metrics.counter "store.recoveries")
+let m_recovered = Metrics.once (fun () -> Metrics.counter "store.recovered_records")
+let m_torn = Metrics.once (fun () -> Metrics.counter "store.torn_tail_truncations")
+let m_corrupt = Metrics.once (fun () -> Metrics.counter "store.corrupt_records")
+let m_checkpoints = Metrics.once (fun () -> Metrics.counter "store.checkpoints")
+let bump m = Metrics.incr (m ())
 
 (* --- contained I/O failures -------------------------------------------- *)
 
@@ -385,7 +385,7 @@ let open_ ?(fsync_every = 8) ?(readonly = false) path =
         diags := List.rev_append sc.s_diags !diags;
         if sc.s_records > 0 then begin
           bump m_recoveries;
-          Metrics.add (Lazy.force m_recovered) sc.s_records;
+          Metrics.add (m_recovered ()) sc.s_records;
           diags :=
             Diag.v ~severity:Diag.Info Diag.Store ~code:"store.recovered"
               ~payload:
@@ -422,9 +422,9 @@ let open_ ?(fsync_every = 8) ?(readonly = false) path =
         end);
     ignore !fresh;
     if t.torn_tail_truncations > 0 then
-      Metrics.add (Lazy.force m_torn) t.torn_tail_truncations;
+      Metrics.add (m_torn ()) t.torn_tail_truncations;
     if t.corrupt_records > 0 then
-      Metrics.add (Lazy.force m_corrupt) t.corrupt_records;
+      Metrics.add (m_corrupt ()) t.corrupt_records;
     Unix.close fd;
     if not readonly then
       t.log_fd <- Some (Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644);

@@ -442,14 +442,16 @@ let writer_push w i line =
 (* --- metrics ----------------------------------------------------------- *)
 
 let m_instances_ok =
-  lazy (Metrics.counter "sweep_instances_total" ~labels:[ ("status", "ok") ])
+  Metrics.once (fun () ->
+      Metrics.counter "sweep_instances_total" ~labels:[ ("status", "ok") ])
 
 let m_instances_err =
-  lazy (Metrics.counter "sweep_instances_total" ~labels:[ ("status", "error") ])
+  Metrics.once (fun () ->
+      Metrics.counter "sweep_instances_total" ~labels:[ ("status", "error") ])
 
-let m_rows = lazy (Metrics.counter "sweep_rows_total")
-let m_sweeps = lazy (Metrics.counter "sweep_runs_total")
-let g_progress = lazy (Metrics.fgauge "sweep_progress")
+let m_rows = Metrics.once (fun () -> Metrics.counter "sweep_rows_total")
+let m_sweeps = Metrics.once (fun () -> Metrics.counter "sweep_runs_total")
+let g_progress = Metrics.once (fun () -> Metrics.fgauge "sweep_progress")
 
 (* --- the engine -------------------------------------------------------- *)
 
@@ -466,7 +468,7 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?cache ?store
   if domains < 1 then invalid_arg "Sweep.run: domains < 1";
   if chunk < 1 then invalid_arg "Sweep.run: chunk < 1";
   let t0 = Unix.gettimeofday () in
-  Metrics.incr (Lazy.force m_sweeps);
+  Metrics.incr (m_sweeps ());
   let program = Amg_lang.Parser.parse_program ?file:source_file source in
   let insts = Array.of_list (instances spec) in
   let n = Array.length insts in
@@ -474,15 +476,15 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?cache ?store
   let store_hits0 =
     match store with None -> 0 | Some st -> (Store.stats st).Store.hits
   in
-  let tech_fp =
-    lazy
-      (Store.tech_fingerprint (Amg_tech.Tech_file.to_string (Env.tech env)))
-  in
-  let store_of params =
-    Option.map
-      (fun st ->
-        (st, instance_signature ~tech:(Lazy.force tech_fp) spec.s_entity params))
-      store
+  (* Fingerprinted before the pool fans out, so instances only read it. *)
+  let store_of =
+    match store with
+    | None -> fun _ -> None
+    | Some st ->
+        let tech =
+          Store.tech_fingerprint (Amg_tech.Tech_file.to_string (Env.tech env))
+        in
+        fun params -> Some (st, instance_signature ~tech spec.s_entity params)
   in
   let scope = Optimize.env_scope env in
   let w =
@@ -510,15 +512,15 @@ let run ?(domains = 1) ?(chunk = 8) ?(shuffle = false) ?cache ?store
         ~cache ~scope ~store:(store_of params) params
     in
     (match outcome with
-    | Ok _ -> Metrics.incr (Lazy.force m_instances_ok)
+    | Ok _ -> Metrics.incr (m_instances_ok ())
     | Error d ->
         errs.(i) <- Some d;
         Atomic.incr failures;
-        Metrics.incr (Lazy.force m_instances_err));
+        Metrics.incr (m_instances_err ()));
     writer_push w i (render_row ~entity:spec.s_entity params outcome diags);
-    Metrics.incr (Lazy.force m_rows);
+    Metrics.incr (m_rows ());
     let done_ = Atomic.fetch_and_add completed 1 + 1 in
-    Metrics.set_f (Lazy.force g_progress)
+    Metrics.set_f (g_progress ())
       (if n = 0 then 1. else float_of_int done_ /. float_of_int n)
   in
   (* Scheduling order: the walk itself, or a deterministically shuffled

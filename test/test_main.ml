@@ -17,6 +17,7 @@ let () =
       ("core", Test_core.suite);
       ("prefix-cache", Test_prefix_cache.suite);
       ("parallel", Test_parallel.suite);
+      ("symmetry", Test_symmetry.suite);
       ("obs", Test_obs.suite);
       ("metrics", Test_metrics.suite);
       ("lang", Test_lang.suite);

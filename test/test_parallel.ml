@@ -158,10 +158,14 @@ let test_local_determinism_contact8 () =
 
 (* --- branch-and-bound: domains 1/2/4 identical --- *)
 
-let bb_determinism e steps =
+let bb_determinism ?max_evals e steps =
   let runs =
     List.map
-      (fun d -> (d, Optimize.optimize_bb e ~name:"det" ~domains:d steps))
+      (fun d ->
+        let budget =
+          Option.map (fun m -> Amg_robust.Budget.create ~max_evals:m ()) max_evals
+        in
+        (d, Optimize.optimize_bb e ~name:"det" ~domains:d ?budget steps))
       domain_counts
   in
   match runs with
@@ -175,17 +179,26 @@ let bb_determinism e steps =
             (tag ^ " chosen order") (order_names o1) (order_names o);
           check (tag ^ " nodes") nodes1 nodes;
           check_svg_identical e tag m1 m)
-        rest
+        rest;
+      r1
 
 let test_bb_determinism_diffpair () =
   let e = env () in
-  bb_determinism e (diffpair_steps e)
+  ignore (bb_determinism e (diffpair_steps e))
 
 (* n = 6 is the exhaustive-reach cap the bench uses for branch-and-bound
-   (n = 8 explores ~70k nodes, tens of seconds per run). *)
+   (338 nodes; uncapped n = 8 explores 4854, about a second per run). *)
 let test_bb_determinism_contact6 () =
   let e = env () in
-  bb_determinism e (contact_row_steps e 6)
+  ignore (bb_determinism e (contact_row_steps e 6))
+
+(* The committed n = 12 pack under the bench's 500·n cap: its rows form
+   four classes of three interchangeable rows, so most branches are
+   symmetric skips — and the capped winner is still the committed one. *)
+let test_bb_determinism_symmetric12 () =
+  let e = env () in
+  let r = bb_determinism ~max_evals:6000 e (contact_row_steps e 12) in
+  Alcotest.(check (float 0.)) "committed n=12 rating" 4543.5 r
 
 (* --- exhaustive order evaluation: identical result lists --- *)
 
@@ -308,6 +321,8 @@ let suite =
       test_bb_determinism_diffpair;
     Alcotest.test_case "bb determinism (6 contact rows)" `Quick
       test_bb_determinism_contact6;
+    Alcotest.test_case "bb determinism (capped symmetric n=12 pack)" `Quick
+      test_bb_determinism_symmetric12;
     Alcotest.test_case "evaluate_orders determinism" `Quick
       test_evaluate_orders_determinism;
     Alcotest.test_case "variants with a pool" `Quick test_variants_pool;

@@ -170,6 +170,25 @@ let test_store_invariance () =
   check string "store-warm bytes match store-less" (Lazy.force reference)
     lines_warm
 
+(* Two pool domains used to force the same lazy values (the tech
+   fingerprint and the metric handles) at once and die with
+   [CamlinternalLazy.Undefined] on some calls; every call now completes
+   and emits the one-domain bytes. *)
+let test_store_two_domains_repeat () =
+  for call = 1 to 20 do
+    Test_util.with_tmp_dir "amgsw" @@ fun dir ->
+    let st, _ = Store.open_ (Filename.concat dir "s.store") in
+    let res, lines =
+      Fun.protect
+        ~finally:(fun () -> Store.close st)
+        (fun () -> run_lines ~domains:2 ~chunk:1 ~store:st ())
+    in
+    check int (Printf.sprintf "call %d: no failed rows" call) 0
+      res.Sweep.failures;
+    check string (Printf.sprintf "call %d: one-domain bytes" call)
+      (Lazy.force reference) lines
+  done
+
 (* --- failure rows ------------------------------------------------------ *)
 
 let test_failure_rows () =
@@ -270,6 +289,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_schedule_invariance;
     test_case "store on/off/warm never changes the bytes" `Quick
       test_store_invariance;
+    test_case "20 store-backed sweeps on 2 domains raise nothing" `Quick
+      test_store_two_domains_repeat;
     test_case "per-instance failures become rows, sweep completes" `Quick
       test_failure_rows;
     test_case "check_file accepts crash prefixes, rejects corruption" `Quick
