@@ -720,6 +720,25 @@ let compact_steps env n =
    real best-so-far instead of being skipped. *)
 let bb_node_cap n = if n <= 6 then None else Some (500 * n)
 
+(* The bb search of row n, and whether it ran into its node cap — its
+   rating then is a best-so-far, not a proved optimum. *)
+let bb_search env n steps =
+  match bb_node_cap n with
+  | None -> (Optimize.optimize_bb env ~name:"pack" steps, false)
+  | Some cap ->
+      let budget = Budget.create ~max_evals:cap () in
+      let r = Optimize.optimize_bb env ~name:"pack" ~budget steps in
+      (r, Budget.degraded budget)
+
+(* The optimality gate: the n=12 bb must prove its optimum inside the
+   cap.  Returns whether the row is capped. *)
+let bb_capped_at_12 n capped =
+  let bad = n = 12 && capped in
+  if bad then
+    Fmt.pr "  FAIL n=12: bb hit its %d-node cap, so its rating proves nothing@."
+      (500 * n);
+  bad
+
 (* Returns its result rows; [write_bench_json] merges them with the
    parallel-scaling rows into one BENCH_compact.json.
 
@@ -752,22 +771,16 @@ let compact_scaling env =
           median_time ~repeats:3 (fun () ->
               ignore (Optimize.optimize_local env ~name:"pack" steps))
         in
-        let run_bb () =
-          match bb_node_cap n with
-          | None -> Optimize.optimize_bb env ~name:"pack" steps
-          | Some cap ->
-              let budget = Budget.create ~max_evals:cap () in
-              Optimize.optimize_bb env ~name:"pack" ~budget steps
-        in
-        let (_, r_bb, _, nodes), t_bb_cold = wall run_bb in
+        let run_bb () = bb_search env n steps in
+        let ((_, r_bb, _, nodes), capped), t_bb_cold = wall run_bb in
         let t_bb = median_time ~repeats:3 (fun () -> ignore (run_bb ())) in
-        let bb = (t_bb_cold, t_bb, r_bb, nodes, bb_node_cap n <> None) in
+        let bb = (t_bb_cold, t_bb, r_bb, nodes, capped) in
         Fmt.pr "%4d %10.2f %11.2f %11.2f %8.1f %8d %10.1f/%.1f ms%s@." n
           (t_apply *. 1000.)
           (t_local_cold *. 1000.)
           (t_local *. 1000.) r_local evals (t_bb_cold *. 1000.)
           (t_bb *. 1000.)
-          (if bb_node_cap n <> None then " (capped)" else "");
+          (if capped then " (capped)" else "");
         (* One instrumented (untimed) build per n: the work counters are
            deterministic, so they diff cleanly across runs — unlike wall
            times.  Captured after the timing loops so the probes' cost
@@ -886,9 +899,10 @@ let parallel_scaling env =
    order, and timings are rounded to 0.1 ms, so diffs between runs touch
    only the digits that actually moved.  [*_cold_s] is the first
    (cache-cold) run, [*_s] the median of 3 cache-warm repeats — see
-   [compact_scaling]; [bb_capped] marks rows searched under the
-   deterministic node cap.  The per-row "counters" object holds the
-   deterministic work counters from one instrumented cache-free build;
+   [compact_scaling]; [bb_capped] marks rows whose bb search ran into its
+   deterministic node cap (a best-so-far, not a proved optimum).  The
+   per-row "counters" object holds the deterministic work counters from
+   one instrumented cache-free build;
    the top-level "prefix_cache" object is this process's cumulative cache
    traffic (machine-dependent in detail, but hits must be far from 0). *)
 let write_bench_json compact_rows parallel_rows =
@@ -1059,14 +1073,9 @@ let compact_smoke env ns =
       else
         Fmt.pr "  ok   n=%d warm hit-rate %.3f (%d hits, %d misses)@." n
           warm_rate warm_hits warm_misses;
-      let _, r_bb, _, _ =
-        match bb_node_cap n with
-        | None -> Optimize.optimize_bb env ~name:"pack" steps
-        | Some cap ->
-            let budget = Budget.create ~max_evals:cap () in
-            Optimize.optimize_bb env ~name:"pack" ~budget steps
-      in
-      check "bb_rating" n (float_after json "bb_rating" row) r_bb)
+      let (_, r_bb, _, _), capped = bb_search env n steps in
+      check "bb_rating" n (float_after json "bb_rating" row) r_bb;
+      if bb_capped_at_12 n capped then incr failures)
     ns;
   if !failures > 0 then begin
     Fmt.pr "bench smoke: %d failure(s)@." !failures;
@@ -1719,4 +1728,9 @@ let () =
   write_bench_json compact_rows parallel_rows;
   sweep_bench 64;
   micro env;
-  Fmt.pr "@.done.@."
+  Fmt.pr "@.done.@.";
+  if
+    List.exists
+      (fun (n, _, _, _, _, _, (_, _, _, _, capped), _) -> bb_capped_at_12 n capped)
+      compact_rows
+  then exit 1

@@ -158,13 +158,17 @@ val optimize_bb :
   Amg_layout.Lobj.t * float * step list * int
 (** Branch-and-bound over orders: same optimum as the exhaustive search,
     usually visiting far fewer nodes.  The lower bound on a partial order
-    hulls the partial bounding box with the cross-axis spans of the
-    remaining [`Keep] objects (those spans are invariant under placement;
-    under the permissive policy, which may skip objects, the bound falls
-    back to the partial box alone) and is checked both at node entry —
-    pruning a whole subtree before any placement, counted as
+    (see {!For_test.completion_bound}) hulls the partial bounding box with
+    the cross-axis spans of the remaining [`Keep] objects and raises each
+    side to the column stack the remaining private-net [`Keep] movers
+    must still form against the pinned shapes already placed; under the
+    permissive policy, which may skip objects, it falls back to the
+    partial box alone.  It is checked both at node entry — pruning a
+    whole subtree before any placement, counted as
     [optimize.bb_pruned_by_bound] — and per child ([optimize.bb_pruned]),
-    where a cached child bounding box decides without placing.  The search
+    where a cached child bounding box decides from the hull alone without
+    placing.  Prunes only the column stack could decide are also counted
+    as [optimize.bb_pruned_by_stack].  The search
     decomposes into one sub-search per first step, each seeded with the
     canonical order's rating as initial incumbent, and merges the
     sub-search winners in canonical order — the chosen order, rating and
@@ -210,3 +214,30 @@ val optimize_local :
     rated, so a best-so-far exists even under a zero budget.  A real
     wall-clock deadline may additionally cut a round short (best-effort).
     @raise Env.Rejected when every order is rejected. *)
+
+(** Internals exposed to the test suite. *)
+module For_test : sig
+  val completion_bound :
+    ?base:Amg_layout.Lobj.t ->
+    Env.t ->
+    rating:Rating.t ->
+    steps:step list ->
+    Amg_layout.Lobj.t ->
+    step list ->
+    float
+  (** [completion_bound env ~rating ~steps main remaining] is
+      {!optimize_bb}'s lower bound on the rating of every completion of
+      the partial layout [main] — [?base] plus some steps of [steps],
+      placed — by the [remaining] steps, in any order.  It is the area
+      weight times the product of two side bounds.  Each side is the
+      larger of the hull and the column stack.  The hull is the partial
+      layout's box widened by the cross-axis spans of the remaining
+      [`Keep] steps; when some step may shrink a variable edge, the box
+      and spans are those of pinned shapes (user shapes with all edges
+      fixed) only.  The column stack: a remaining [`Keep] step with
+      private nets keeps each pinned shape (on a layer the step does not
+      ignore) at its cross-axis cell and lands it beyond every shape
+      already at that cell on its layer, [Rules.space] away, so each
+      cell grows by at least the remaining movers' extents plus
+      spacings.  Admissible under the strict policy. *)
+end

@@ -18,6 +18,7 @@ let () =
       ("prefix-cache", Test_prefix_cache.suite);
       ("parallel", Test_parallel.suite);
       ("symmetry", Test_symmetry.suite);
+      ("bb", Test_bb.suite);
       ("obs", Test_obs.suite);
       ("metrics", Test_metrics.suite);
       ("lang", Test_lang.suite);

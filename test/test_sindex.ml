@@ -260,8 +260,8 @@ let test_diffpair_bb_regression () =
     (List.map (fun s -> Lobj.name s.Optimize.obj) order);
   Alcotest.(check int) "bbox area" 196_000_000 (Lobj.bbox_area main);
   (* Root + 3 sub-searches seeded with the canonical order's rating; the
-     count is deterministic and domain-count-independent. *)
-  Alcotest.(check int) "nodes" 13 nodes
+     count is a deterministic, domain-count-independent work counter. *)
+  Alcotest.(check int) "nodes" 12 nodes
 
 let suite =
   [

@@ -1,7 +1,8 @@
 (* Symmetry breaking in the order searches: which steps are
    interchangeable, and — differentially, against the exhaustive search
    over all n! orders — that skipping the orders which only exchange
-   interchangeable steps never changes what bb and local search return. *)
+   interchangeable steps never changes what bb and local search return.
+   The generated packs also drive test_bb's admissibility property. *)
 
 module Dir = Amg_geometry.Dir
 module Units = Amg_geometry.Units
@@ -16,23 +17,41 @@ module M = Amg_modules
 
 let um = Units.of_um
 
-(* One contact row per (width, direction); row [i] owns net [nets.(i)]. *)
+(* One contact row of the generated packs: its width, direction and
+   landing layer, the edges it marks variable, its cross-axis alignment
+   and whether its step ignores its landing layer. *)
+type row = {
+  w : float;
+  dir : Dir.t;
+  landing : string;
+  var_edges : Dir.t list;
+  align : Amg_compact.Successive.align;
+  ignore : bool;
+}
+
+let plain w dir =
+  { w; dir; landing = "metal1"; var_edges = []; align = `Keep; ignore = false }
+
+(* One contact row step per row; row [i] owns net [nets i]. *)
 let row_steps e ?(nets = fun i -> Printf.sprintf "n%d" i) rows =
   List.mapi
-    (fun i (w, dir) ->
+    (fun i r ->
       let row =
-        M.Contact_row.make e ~layer:"metal1" ~net:(nets i) ~w:(um w) ()
+        M.Contact_row.make e ~layer:r.landing ~net:(nets i) ~w:(um r.w)
+          ~var_edges:r.var_edges ()
       in
       Lobj.set_name row (Printf.sprintf "row%d" i);
-      Optimize.step row dir)
+      let ignore_layers = if r.ignore then [ r.landing ] else [] in
+      Optimize.step row ~ignore_layers ~align:r.align r.dir)
     rows
 
 (* The bench pack: widths cycle through four values, directions
    alternate, so rows i and i + 4 are interchangeable. *)
 let bench_rows n =
   List.init n (fun i ->
-      ( float_of_int (20 + (i mod 4 * 12)),
-        if i mod 2 = 0 then Dir.South else Dir.West ))
+      plain
+        (float_of_int (20 + (i mod 4 * 12)))
+        (if i mod 2 = 0 then Dir.South else Dir.West))
 
 let classes ?base ?(rating = Rating.default) steps =
   Array.to_list (Optimize.interchange_classes ?base ~rating steps)
@@ -70,7 +89,7 @@ let test_classes () =
        steps8);
   let dirs =
     row_steps e
-      [ (20., Dir.South); (20., Dir.West); (20., Dir.South); (20., Dir.North) ]
+      (List.map (plain 20.) [ Dir.South; Dir.West; Dir.South; Dir.North ])
   in
   Alcotest.check ints "directions must match" [ 0; 1; 0; 3 ] (classes dirs);
   let ignoring =
@@ -100,26 +119,59 @@ let variant_name = function
   | Sensitive -> "sensitive net"
   | Base -> "base holds n0"
 
+(* Packs of two to six rows.  Most rows are plain metal1 rows, so packs
+   keep interchangeable twins; the rest cover the four directions,
+   variable edges, poly and pdiff landings (contact arrays, cross-layer
+   spacing), an ignored landing layer and [`Center]/[`Min] alignment.
+   The variant adds a shared net, a sensitive net or a base. *)
+let gen_row =
+  QCheck2.Gen.(
+    let* w = oneofl [ 20.; 32. ] in
+    let* dir =
+      frequencyl [ (3, Dir.South); (3, Dir.West); (1, Dir.North); (1, Dir.East) ]
+    in
+    let* landing = frequencyl [ (4, "metal1"); (1, "poly"); (1, "pdiff") ] in
+    let* var_edges =
+      frequency
+        [
+          (4, return []);
+          (1, map (List.sort_uniq compare) (list_size (int_range 1 2) (oneofl Dir.all)));
+        ]
+    in
+    let* align = frequencyl [ (6, `Keep); (1, `Center); (1, `Min) ] in
+    let+ ignore = frequencyl [ (6, false); (1, true) ] in
+    { w; dir; landing; var_edges; align; ignore })
+
 let gen_case =
   QCheck2.Gen.(
-    let row =
-      pair (oneofl [ 20.; 32. ])
-        (frequencyl
-           [ (3, Dir.South); (3, Dir.West); (1, Dir.North); (1, Dir.East) ])
-    in
     triple
       (oneofl [ Plain; Shared_net; Sensitive; Base ])
-      (int_range 2 6 >>= fun n -> list_size (return n) row)
+      (int_range 2 6 >>= fun n -> list_size (return n) gen_row)
       (int_range 1 4))
+
+let print_row r =
+  let align =
+    match r.align with
+    | `Keep -> ""
+    | `Center -> " center"
+    | `Min -> " min"
+    | `Max -> " max"
+  in
+  Printf.sprintf "%g %s %s%s%s%s" r.w (Dir.to_string r.dir) r.landing
+    (match r.var_edges with
+    | [] -> ""
+    | ds -> " var:" ^ String.concat "" (List.map Dir.to_string ds))
+    align
+    (if r.ignore then " ignore" else "")
 
 let print_case (v, rows, seed) =
   Printf.sprintf "%s seed=%d [%s]" (variant_name v) seed
-    (String.concat "; "
-       (List.map (fun (w, d) -> Printf.sprintf "%g %s" w (Dir.to_string d)) rows))
+    (String.concat "; " (List.map print_row rows))
 
 let same_order a b = List.compare_lengths a b = 0 && List.for_all2 ( == ) a b
 
-let matches_brute_force (variant, rows, seed) =
+(* The search inputs of a case: environment, steps, base and rating. *)
+let setup (variant, rows, _) =
   let e = Env.bicmos () in
   (* The last row shares row 0's net, so a twin of row 0 that does
      not is no longer interchangeable with it. *)
@@ -139,9 +191,15 @@ let matches_brute_force (variant, rows, seed) =
       Some (M.Contact_row.make e ~layer:"metal1" ~net:"n0" ~w:(um 8.) ())
     else None
   in
+  (e, steps, base, rating)
+
+let matches_brute_force ((_, _, seed) as case) =
+  let e, steps, base, rating = setup case in
   let cache = Pcache.create () in
+  let rec fact n = if n <= 1 then 1 else n * fact (n - 1) in
   let _, r_all, o_all =
-    Optimize.optimize e ~name:"p" ?base ~rating ~cache steps
+    Optimize.optimize e ~name:"p" ?base ~rating ~cache
+      ~max_orders:(fact (List.length steps)) steps
   in
   let _, r_bb, o_bb, _ =
     Optimize.optimize_bb e ~name:"p" ?base ~rating ~cache steps
@@ -151,6 +209,7 @@ let matches_brute_force (variant, rows, seed) =
   in
   let rate order = Rating.rate e rating (Optimize.apply ?base e ~name:"p" order) in
   Float.equal r_bb r_all && same_order o_bb o_all
+  && r_bb <= r_local
   && r_local <= rate steps
   && Float.equal (rate o_local) r_local
 
@@ -165,9 +224,37 @@ let test_known_packs () =
     (fun case ->
       Alcotest.(check bool) (print_case case) true (matches_brute_force case))
     [
-      (Shared_net, [ (20., Dir.South); (20., Dir.West); (20., Dir.West) ], 1);
-      (Base, [ (32., Dir.West); (32., Dir.West); (20., Dir.South) ], 1);
+      (Shared_net, [ plain 20. Dir.South; plain 20. Dir.West; plain 20. Dir.West ], 1);
+      (Base, [ plain 32. Dir.West; plain 32. Dir.West; plain 20. Dir.South ], 1);
     ]
+
+(* Seven rows, all 5040 orders: a pack mixing directions, landings,
+   alignments and an ignored layer, with a sensitive net, and a pack of
+   twins on top of a base.  (Variable edges make 5040 rebuilds slow; the
+   generated packs cover them.) *)
+let test_n7_packs () =
+  let mixed =
+    [
+      plain 20. Dir.South;
+      { (plain 32. Dir.West) with landing = "poly" };
+      plain 20. Dir.North;
+      plain 20. Dir.South;
+      { (plain 32. Dir.East) with align = `Center };
+      { (plain 20. Dir.West) with landing = "pdiff"; ignore = true };
+      { (plain 32. Dir.South) with align = `Min };
+    ]
+  in
+  let twins =
+    List.map (fun (w, d) -> plain w d)
+      [
+        (20., Dir.South); (32., Dir.West); (20., Dir.South); (32., Dir.West);
+        (20., Dir.South); (32., Dir.West); (44., Dir.South);
+      ]
+  in
+  List.iter
+    (fun case ->
+      Alcotest.(check bool) (print_case case) true (matches_brute_force case))
+    [ (Sensitive, mixed, 2); (Base, twins, 4) ]
 
 (* --- the skip counter ------------------------------------------------- *)
 
@@ -200,5 +287,6 @@ let suite =
     Alcotest.test_case "interchange classes" `Quick test_classes;
     QCheck_alcotest.to_alcotest prop_matches_brute_force;
     Alcotest.test_case "packs where looser classes fail" `Quick test_known_packs;
+    Alcotest.test_case "n=7 packs: bb = all 5040 orders" `Quick test_n7_packs;
     Alcotest.test_case "symmetric_skips counter" `Quick test_skip_counter;
   ]
