@@ -964,9 +964,10 @@ let write_bench_json compact_rows parallel_rows =
 
 (* ------------------------------------------------------------------ *)
 (* Smoke mode (CI): `bench compact_scaling 4,6` re-runs the optimizer  *)
-(* rows for the given n and asserts the ratings match the committed    *)
-(* BENCH_compact.json exactly and that the prefix cache actually hits  *)
-(* for optimize_local.  Never rewrites the JSON; exits 1 on mismatch.  *)
+(* rows for the given n and asserts the ratings and optimize_local's   *)
+(* eval counts match the committed BENCH_compact.json exactly and that *)
+(* the prefix cache actually hits for optimize_local.  Never rewrites  *)
+(* the JSON; exits 1 on mismatch.                                      *)
 (* ------------------------------------------------------------------ *)
 
 let find_sub s sub from =
@@ -1039,15 +1040,19 @@ let compact_smoke env ns =
       let steps = compact_steps env n in
       let st0 = Pcache.stats (Pcache.default ()) in
       (* Twice: the second run must resume from the first one's prefixes. *)
-      let _, r1, _, _ = Optimize.optimize_local env ~name:"pack" steps in
+      let _, r1, _, e1 = Optimize.optimize_local env ~name:"pack" steps in
       let st1 = Pcache.stats (Pcache.default ()) in
-      let _, r2, _, _ = Optimize.optimize_local env ~name:"pack" steps in
+      let _, r2, _, e2 = Optimize.optimize_local env ~name:"pack" steps in
       let st2 = Pcache.stats (Pcache.default ()) in
       let hits = st2.Pcache.hits - st0.Pcache.hits in
       check "local_rating" n (float_after json "local_rating" row) r1;
-      if not (Float.equal r1 r2) then begin
+      (* The eval count witnesses the climbing trajectory: the same
+         rating reached by a different path shows up here. *)
+      check "local_evals" n (float_after json "local_evals" row) (float_of_int e1);
+      if not (Float.equal r1 r2 && e1 = e2) then begin
         incr failures;
-        Fmt.pr "  FAIL n=%d warm rerun rating %.4f <> cold %.4f@." n r2 r1
+        Fmt.pr "  FAIL n=%d warm rerun rating %.4f / %d evals <> cold %.4f / %d@."
+          n r2 e2 r1 e1
       end;
       if hits = 0 then begin
         incr failures;

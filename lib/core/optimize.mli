@@ -25,7 +25,8 @@
     Sharing never changes results: a hit is a faithful copy of a
     deterministic build, so ratings, chosen orders, layout bytes, node and
     eval counts are all identical with the cache on or off — only wall
-    time and the [prefix_cache.*] counters differ. *)
+    time, the [prefix_cache.*] counters and [optimize.local_abandoned]
+    differ. *)
 
 type step = {
   uid : int;  (** canonical identity; the prefix-cache key component *)
@@ -203,9 +204,23 @@ val optimize_local :
     best improving candidate, ties to the lowest swap index — with
     [restarts] deterministically shuffled starting orders ([seed] makes
     runs reproducible).  Never worse than the best starting order; not
-    guaranteed optimal.  The last component is the number of
-    rebuild-and-rate evaluations performed, which is also independent of
-    [?domains].
+    guaranteed optimal.
+
+    A round only accepts a candidate rated strictly below the current
+    order, so a candidate is built under a stop check: at the depth it
+    resumes from and after each step it places, {!optimize_bb}'s
+    admissible completion bound (see {!For_test.completion_bound}) is
+    compared with the current order's rating, and once the bound reaches
+    it the candidate is abandoned — its rating could only be at least as
+    high, so it could never be the round's move.  Abandoned candidates
+    are counted as [optimize.local_abandoned] (a work counter that, like
+    the [prefix_cache.*] counters, depends on the cache state).  The
+    trajectory, the result and the eval count are exactly those of
+    building every candidate in full.
+
+    The last component is the number of candidates decided — built and
+    rated in full, or abandoned — which is also independent of
+    [?domains] and of the cache.
 
     With [?budget], whole rounds (and whole restarts) are refused once the
     budget is out: an eval cap never splits a round, so the climbing
@@ -239,5 +254,8 @@ module For_test : sig
       ignore) at its cross-axis cell and lands it beyond every shape
       already at that cell on its layer, [Rules.space] away, so each
       cell grows by at least the remaining movers' extents plus
-      spacings.  Admissible under the strict policy. *)
+      spacings.  The permissive policy, which may skip an object, keeps
+      the box alone — the bounding box, or the pinned shapes' hull when
+      some step may shrink a variable edge.  Admissible under both
+      policies. *)
 end

@@ -1,6 +1,6 @@
 (* bb's completion bound: admissible — never above the best rating any
    completion of a partial order reaches, checked by brute force over
-   every prefix of generated packs — and strong enough to prove the
+   every prefix of generated packs under both policies — and strong enough to prove the
    n = 12 optimum of the benchmark packs well inside the 500·n node cap,
    with the same answer for every domain count and cache state. *)
 
@@ -12,6 +12,7 @@ module Rating = Amg_core.Rating
 module Optimize = Amg_core.Optimize
 module Pcache = Amg_core.Prefix_cache
 module Budget = Amg_robust.Budget
+module Policy = Amg_robust.Policy
 module S = Test_symmetry
 
 (* Depth-first over every prefix: the best rating of a subtree's valid
@@ -54,13 +55,27 @@ let print_overestimate steps (prefix, bound, best) =
     (String.concat " " (List.map (fun s -> string_of_int (index s)) prefix))
     bound best
 
-let prop_admissible =
-  QCheck2.Test.make ~name:"completion bound <= every completion (n <= 6)"
-    ~count:60 ~print:S.print_case S.gen_case (fun case ->
+(* Under [mode]; the permissive policy may skip an object, so its bound
+   trusts the partial layout alone. *)
+let admissible_under mode ~name ~count =
+  QCheck2.Test.make ~name ~count ~print:S.print_case S.gen_case (fun case ->
       let ((_, steps, _, _) as input) = S.setup case in
-      match first_overestimate input with
+      Policy.set_mode mode;
+      match
+        Fun.protect
+          ~finally:(fun () -> Policy.set_mode Policy.Strict)
+          (fun () -> first_overestimate input)
+      with
       | None -> true
       | Some o -> QCheck2.Test.fail_report (print_overestimate steps o))
+
+let prop_admissible =
+  admissible_under Policy.Strict ~count:60
+    ~name:"completion bound <= every completion (n <= 6)"
+
+let prop_admissible_permissive =
+  admissible_under Policy.Permissive ~count:40
+    ~name:"permissive: completion bound <= every completion"
 
 (* --- the n = 12 proof ------------------------------------------------- *)
 
@@ -124,5 +139,6 @@ let test_n12_proof () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_admissible;
+    QCheck_alcotest.to_alcotest prop_admissible_permissive;
     Alcotest.test_case "n=12 packs: proved under the 500n cap" `Quick test_n12_proof;
   ]

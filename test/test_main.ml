@@ -19,6 +19,7 @@ let () =
       ("parallel", Test_parallel.suite);
       ("symmetry", Test_symmetry.suite);
       ("bb", Test_bb.suite);
+      ("local", Test_local.suite);
       ("obs", Test_obs.suite);
       ("metrics", Test_metrics.suite);
       ("lang", Test_lang.suite);

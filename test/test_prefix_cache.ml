@@ -300,7 +300,10 @@ let test_admission_policy_determinism () =
 let test_eviction_under_tiny_budget () =
   let env = Env.bicmos () in
   let steps = mk_steps 5 in
-  let cache = Pcache.create ~budget_bytes:50_000 () in
+  (* A 5-step search with every prefix resident holds about 31 KB, so
+     20 KB must evict. *)
+  let budget = 20_000 in
+  let cache = Pcache.create ~budget_bytes:budget () in
   let _, r_ref, ord_ref, e_ref =
     Optimize.optimize_local env ~name:"p" ~domains:1 ~restarts:2
       ~cache:Pcache.disabled steps
@@ -310,7 +313,7 @@ let test_eviction_under_tiny_budget () =
   in
   let st = Pcache.stats cache in
   check_bool "evictions happened" true (st.Pcache.evictions > 0);
-  check_bool "budget respected" true (st.Pcache.bytes <= 50_000);
+  check_bool "budget respected" true (st.Pcache.bytes <= budget);
   check_bool "rating unchanged" true (r = r_ref);
   Alcotest.(check (list int)) "order unchanged" (uids ord_ref) (uids ord);
   check_int "evals unchanged" e_ref e;
