@@ -979,35 +979,21 @@ let find_sub s sub from =
   in
   go from
 
-(* The committed value of "key":<float> at or after [from]; None when the
-   key is absent or null.  The JSON is machine-written with a fixed key
-   order, so plain substring scanning is reliable here. *)
-let float_after s key from =
-  match find_sub s (Printf.sprintf "\"%s\":" key) from with
-  | None -> None
-  | Some i -> (
-      let j = i + String.length key + 3 in
-      let k = ref j in
-      while
-        !k < String.length s
-        &&
-        match s.[!k] with
-        | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr k
-      done;
-      if !k = j then None
-      else Some (float_of_string (String.sub s j (!k - j))))
-
 let compact_smoke env ns =
-  let json =
+  let module J = Amg_robust.Diag.Json in
+  let failures = ref 0 in
+  let rows =
     let ic = open_in "BENCH_compact.json" in
     let s = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    s
+    match J.of_string s with
+    | Ok v -> (
+        match J.member "rows" v with Some (J.Jarr rows) -> rows | _ -> [])
+    | Error e ->
+        Fmt.pr "  FAIL BENCH_compact.json: %s@." e;
+        incr failures;
+        []
   in
-  let failures = ref 0 in
   let check what n expected got =
     (* Compare at the JSON's own 0.1 ms-era rounding: 4 decimals. *)
     let same =
@@ -1030,12 +1016,16 @@ let compact_smoke env ns =
   List.iter
     (fun n ->
       let row =
-        match find_sub json (Printf.sprintf "{\"n\":%d,\"apply_s\"" n) 0 with
-        | Some i -> i
-        | None ->
-            Fmt.pr "  FAIL no committed row for n=%d@." n;
-            incr failures;
-            0
+        List.find_opt (fun r -> Option.bind (J.member "n" r) J.int = Some n) rows
+      in
+      if row = None then begin
+        Fmt.pr "  FAIL no committed row for n=%d@." n;
+        incr failures
+      end;
+      (* The committed value of [key] in the n-row; None when the row or
+         the key is absent or not a number. *)
+      let committed key =
+        Option.bind row (fun r -> Option.bind (J.member key r) J.num)
       in
       let steps = compact_steps env n in
       let st0 = Pcache.stats (Pcache.default ()) in
@@ -1045,10 +1035,10 @@ let compact_smoke env ns =
       let _, r2, _, e2 = Optimize.optimize_local env ~name:"pack" steps in
       let st2 = Pcache.stats (Pcache.default ()) in
       let hits = st2.Pcache.hits - st0.Pcache.hits in
-      check "local_rating" n (float_after json "local_rating" row) r1;
+      check "local_rating" n (committed "local_rating") r1;
       (* The eval count witnesses the climbing trajectory: the same
          rating reached by a different path shows up here. *)
-      check "local_evals" n (float_after json "local_evals" row) (float_of_int e1);
+      check "local_evals" n (committed "local_evals") (float_of_int e1);
       if not (Float.equal r1 r2 && e1 = e2) then begin
         incr failures;
         Fmt.pr "  FAIL n=%d warm rerun rating %.4f / %d evals <> cold %.4f / %d@."
@@ -1079,7 +1069,7 @@ let compact_smoke env ns =
         Fmt.pr "  ok   n=%d warm hit-rate %.3f (%d hits, %d misses)@." n
           warm_rate warm_hits warm_misses;
       let (_, r_bb, _, _), capped = bb_search env n steps in
-      check "bb_rating" n (float_after json "bb_rating" row) r_bb;
+      check "bb_rating" n (committed "bb_rating") r_bb;
       if bb_capped_at_12 n capped then incr failures)
     ns;
   if !failures > 0 then begin

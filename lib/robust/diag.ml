@@ -127,382 +127,13 @@ let guard ?convert f =
       | Some d -> Stdlib.Error d
       | None -> Printexc.raise_with_backtrace e bt)
 
-(* --- JSON encoding --------------------------------------------------- *)
+(* --- JSON ------------------------------------------------------------ *)
 
-let buf_add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let buf_add_diag b d =
-  Buffer.add_string b "{\"code\":";
-  buf_add_json_string b d.code;
-  Buffer.add_string b ",\"severity\":";
-  buf_add_json_string b (severity_to_string d.severity);
-  Buffer.add_string b ",\"subsystem\":";
-  buf_add_json_string b (subsystem_to_string d.subsystem);
-  Buffer.add_string b ",\"message\":";
-  buf_add_json_string b d.message;
-  Buffer.add_string b ",\"span\":";
-  (match d.span with
-  | None -> Buffer.add_string b "null"
-  | Some s ->
-      Buffer.add_string b "{\"file\":";
-      (match s.file with
-      | None -> Buffer.add_string b "null"
-      | Some f -> buf_add_json_string b f);
-      Buffer.add_string b (Printf.sprintf ",\"line\":%d,\"col\":%d}" s.line s.col));
-  Buffer.add_string b ",\"hint\":";
-  (match d.hint with
-  | None -> Buffer.add_string b "null"
-  | Some h -> buf_add_json_string b h);
-  Buffer.add_string b ",\"payload\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      buf_add_json_string b k;
-      Buffer.add_char b ':';
-      buf_add_json_string b v)
-    d.payload;
-  Buffer.add_string b "}}"
-
-let to_json d =
-  let b = Buffer.create 256 in
-  buf_add_diag b d;
-  Buffer.contents b
-
-let list_to_json ?(degraded = false) ds =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"version\":1,\"degraded\":";
-  Buffer.add_string b (if degraded then "true" else "false");
-  Buffer.add_string b ",\"diagnostics\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char b ',';
-      buf_add_diag b d)
-    ds;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-(* --- JSON decoding --------------------------------------------------- *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let err msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> err (Printf.sprintf "expected '%c'" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then (
-      pos := !pos + l;
-      v)
-    else err (Printf.sprintf "expected %s" lit)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then err "unterminated string"
-      else
-        let c = s.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents b
-        | '\\' -> (
-            if !pos >= n then err "unterminated escape"
-            else
-              let e = s.[!pos] in
-              advance ();
-              match e with
-              | '"' | '\\' | '/' ->
-                  Buffer.add_char b e;
-                  go ()
-              | 'n' ->
-                  Buffer.add_char b '\n';
-                  go ()
-              | 'r' ->
-                  Buffer.add_char b '\r';
-                  go ()
-              | 't' ->
-                  Buffer.add_char b '\t';
-                  go ()
-              | 'b' ->
-                  Buffer.add_char b '\b';
-                  go ()
-              | 'f' ->
-                  Buffer.add_char b '\012';
-                  go ()
-              | 'u' ->
-                  if !pos + 4 > n then err "bad \\u escape"
-                  else begin
-                    let hex = String.sub s !pos 4 in
-                    pos := !pos + 4;
-                    let code =
-                      try int_of_string ("0x" ^ hex)
-                      with _ -> err "bad \\u escape"
-                    in
-                    (* Only BMP codepoints; encode as UTF-8. *)
-                    if code < 0x80 then Buffer.add_char b (Char.chr code)
-                    else if code < 0x800 then begin
-                      Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                    end
-                    else begin
-                      Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                      Buffer.add_char b
-                        (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                    end;
-                    go ()
-                  end
-              | _ -> err "bad escape")
-        | c ->
-            Buffer.add_char b c;
-            go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    if !pos = start then err "expected number"
-    else
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> err "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (
-          advance ();
-          Jobj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> err "expected ',' or '}'"
-          in
-          Jobj (members [])
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (
-          advance ();
-          Jarr [])
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> err "expected ',' or ']'"
-          in
-          Jarr (elems [])
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some _ -> Jnum (parse_number ())
-    | None -> err "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then err "trailing garbage";
-  v
-
-let field name = function
-  | Jobj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
-let as_string = function Jstr s -> Some s | _ -> None
-let as_int = function Jnum f -> Some (int_of_float f) | _ -> None
-
-let diag_of_value v =
-  let ( let* ) o f = match o with Some x -> f x | None -> Stdlib.Error "malformed diagnostic" in
-  let* code = Option.bind (field "code" v) as_string in
-  let* severity =
-    Option.bind (Option.bind (field "severity" v) as_string) severity_of_string
-  in
-  let* subsystem =
-    Option.bind (Option.bind (field "subsystem" v) as_string) subsystem_of_string
-  in
-  let* message = Option.bind (field "message" v) as_string in
-  let span =
-    match field "span" v with
-    | Some (Jobj _ as sp) ->
-        let file = Option.bind (field "file" sp) as_string in
-        let line = Option.value ~default:0 (Option.bind (field "line" sp) as_int) in
-        let col = Option.value ~default:0 (Option.bind (field "col" sp) as_int) in
-        Some { file; line; col }
-    | _ -> None
-  in
-  let hint = Option.bind (field "hint" v) (fun h -> as_string h) in
-  let payload =
-    match field "payload" v with
-    | Some (Jobj kvs) ->
-        List.filter_map
-          (fun (k, pv) -> Option.map (fun s -> (k, s)) (as_string pv))
-          kvs
-    | _ -> []
-  in
-  Stdlib.Ok { code; severity; subsystem; message; span; hint; payload }
-
-let of_json s =
-  match parse_json s with
-  | v -> diag_of_value v
-  | exception Bad_json msg -> Stdlib.Error msg
-
-let list_of_json s =
-  match parse_json s with
-  | exception Bad_json msg -> Stdlib.Error msg
-  | v -> (
-      let degraded =
-        match field "degraded" v with Some (Jbool b) -> b | _ -> false
-      in
-      match field "diagnostics" v with
-      | Some (Jarr items) ->
-          let rec go acc = function
-            | [] -> Stdlib.Ok (degraded, List.rev acc)
-            | item :: rest -> (
-                match diag_of_value item with
-                | Stdlib.Ok d -> go (d :: acc) rest
-                | Stdlib.Error msg -> Stdlib.Error msg)
-          in
-          go [] items
-      | _ -> Stdlib.Error "missing diagnostics array")
-
-(* --- public JSON value layer ------------------------------------------ *)
-
-module Json = struct
-  type t = json =
-    | Jnull
-    | Jbool of bool
-    | Jnum of float
-    | Jstr of string
-    | Jarr of t list
-    | Jobj of (string * t) list
-
-  let of_string s =
-    match parse_json s with
-    | v -> Stdlib.Ok v
-    | exception Bad_json msg -> Stdlib.Error msg
-
-  (* Shortest image that parses back to the same float.  The serving
-     protocol requires byte-deterministic responses, so the image must
-     depend only on the value.  JSON has no non-finite numbers, so nan
-     and the infinities encode as [null] — never as the unparsable
-     nan/inf images printf would produce. *)
-  let float_to_string f =
-    if not (Float.is_finite f) then "null"
-    else if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else
-      let s = Printf.sprintf "%.15g" f in
-      if float_of_string s = f then s
-      else
-        let s = Printf.sprintf "%.16g" f in
-        if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
-  let rec to_buffer b = function
-    | Jnull -> Buffer.add_string b "null"
-    | Jbool true -> Buffer.add_string b "true"
-    | Jbool false -> Buffer.add_string b "false"
-    | Jnum f -> Buffer.add_string b (float_to_string f)
-    | Jstr s -> buf_add_json_string b s
-    | Jarr items ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i v ->
-            if i > 0 then Buffer.add_char b ',';
-            to_buffer b v)
-          items;
-        Buffer.add_char b ']'
-    | Jobj kvs ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            buf_add_json_string b k;
-            Buffer.add_char b ':';
-            to_buffer b v)
-          kvs;
-        Buffer.add_char b '}'
-
-  let to_string v =
-    let b = Buffer.create 256 in
-    to_buffer b v;
-    Buffer.contents b
-
-  let member = field
-  let str = as_string
-  let num = function Jnum f -> Some f | _ -> None
-  let int = as_int
-  let bool = function Jbool b -> Some b | _ -> None
-end
+module Json = Amg_json.Json
 
 let to_value d =
   let open Json in
+  let opt_str = function None -> Jnull | Some s -> Jstr s in
   Jobj
     [
       ("code", Jstr d.code);
@@ -515,12 +146,73 @@ let to_value d =
         | Some s ->
             Jobj
               [
-                ("file", match s.file with None -> Jnull | Some f -> Jstr f);
+                ("file", opt_str s.file);
                 ("line", Jnum (float_of_int s.line));
                 ("col", Jnum (float_of_int s.col));
               ] );
-      ("hint", match d.hint with None -> Jnull | Some h -> Jstr h);
+      ("hint", opt_str d.hint);
       ("payload", Jobj (List.map (fun (k, v) -> (k, Jstr v)) d.payload));
     ]
 
-let of_value = diag_of_value
+let to_json d = Json.to_string (to_value d)
+
+let list_to_json ?(degraded = false) ds =
+  Json.to_string
+    (Json.Jobj
+       [
+         ("version", Json.Jnum 1.);
+         ("degraded", Json.Jbool degraded);
+         ("diagnostics", Json.Jarr (List.map to_value ds));
+       ])
+
+let of_value v =
+  let open Json in
+  let ( let* ) o f = match o with Some x -> f x | None -> Stdlib.Error "malformed diagnostic" in
+  let* code = Option.bind (member "code" v) str in
+  let* severity =
+    Option.bind (Option.bind (member "severity" v) str) severity_of_string
+  in
+  let* subsystem =
+    Option.bind (Option.bind (member "subsystem" v) str) subsystem_of_string
+  in
+  let* message = Option.bind (member "message" v) str in
+  let span =
+    match member "span" v with
+    | Some (Jobj _ as sp) ->
+        let file = Option.bind (member "file" sp) str in
+        let line = Option.value ~default:0 (Option.bind (member "line" sp) int) in
+        let col = Option.value ~default:0 (Option.bind (member "col" sp) int) in
+        Some { file; line; col }
+    | _ -> None
+  in
+  let hint = Option.bind (member "hint" v) str in
+  let payload =
+    match member "payload" v with
+    | Some (Jobj kvs) ->
+        List.filter_map
+          (fun (k, pv) -> Option.map (fun s -> (k, s)) (str pv))
+          kvs
+    | _ -> []
+  in
+  Stdlib.Ok { code; severity; subsystem; message; span; hint; payload }
+
+let of_json s = Result.bind (Json.of_string s) of_value
+
+let list_of_json s =
+  match Json.of_string s with
+  | Stdlib.Error _ as e -> e
+  | Stdlib.Ok v -> (
+      let degraded =
+        match Json.member "degraded" v with Some (Json.Jbool b) -> b | _ -> false
+      in
+      match Json.member "diagnostics" v with
+      | Some (Json.Jarr items) ->
+          let rec go acc = function
+            | [] -> Stdlib.Ok (degraded, List.rev acc)
+            | item :: rest -> (
+                match of_value item with
+                | Stdlib.Ok d -> go (d :: acc) rest
+                | Stdlib.Error msg -> Stdlib.Error msg)
+          in
+          go [] items
+      | _ -> Stdlib.Error "missing diagnostics array")

@@ -109,34 +109,9 @@ val list_of_json : string -> (bool * t list, string) Stdlib.result
 
 (** {1 Generic JSON values}
 
-    The hand-rolled JSON layer the report document and the serving wire
-    protocol ({!Wire}) share.  The writer is deterministic: object fields
-    are emitted in construction order and each float prints as the
-    shortest image that parses back to the same value, so equal values
-    always serialize to equal bytes. *)
-module Json : sig
-  type t =
-    | Jnull
-    | Jbool of bool
-    | Jnum of float
-    | Jstr of string
-    | Jarr of t list
-    | Jobj of (string * t) list
-
-  val of_string : string -> (t, string) Stdlib.result
-  (** Parse one complete JSON document (rejects trailing garbage). *)
-
-  val to_buffer : Buffer.t -> t -> unit
-  val to_string : t -> string
-
-  val member : string -> t -> t option
-  (** Object field lookup; [None] on non-objects and missing keys. *)
-
-  val str : t -> string option
-  val num : t -> float option
-  val int : t -> int option
-  val bool : t -> bool option
-end
+    The project's one JSON codec ({!Amg_json.Json}), re-exported here for
+    the report document and the serving wire protocol ({!Wire}). *)
+module Json = Amg_json.Json
 
 val to_value : t -> Json.t
 (** The diagnostic as a JSON value;

@@ -330,6 +330,24 @@ let signature env entity params =
     (List.sort (fun (a, _) (b, _) -> String.compare a b) params);
   Buffer.contents b
 
+(* One probe per serve event: the Obs stream (--stats, traces) and the
+   Metrics registry (scrapes) count it under the same name. *)
+let count_event name =
+  Obs.count name 1;
+  Metrics.incr (Metrics.counter name)
+
+(* The key with the least recent tick in [tbl] — the LRU victim.  Ties
+   keep the first key the fold visits. *)
+let lru_victim tbl tick_of =
+  Hashtbl.fold
+    (fun k v acc ->
+      let tick = tick_of v in
+      match acc with
+      | Some (_, best) when best <= tick -> acc
+      | _ -> Some (k, tick))
+    tbl None
+  |> Option.map fst
+
 (* Per-tenant environments are LRU-bounded like the memo: an unauthenticated
    stream of fresh tenant names must not grow the daemon without limit.  An
    evicted tenant that returns simply gets a fresh [Env] (new stamp, cold
@@ -343,22 +361,12 @@ let tenant_env t = function
           tick := t.tenant_tick;
           env
       | None ->
-          if Hashtbl.length t.tenants >= max 1 t.cfg.tenant_limit then begin
-            let victim =
-              Hashtbl.fold
-                (fun k (_, tick) acc ->
-                  match acc with
-                  | Some (_, best) when best <= !tick -> acc
-                  | _ -> Some (k, !tick))
-                t.tenants None
-            in
-            match victim with
-            | Some (k, _) ->
+          if Hashtbl.length t.tenants >= max 1 t.cfg.tenant_limit then
+            Option.iter
+              (fun k ->
                 Hashtbl.remove t.tenants k;
-                Obs.count "serve.tenant.evictions" 1;
-                Metrics.incr (Metrics.counter "serve.tenant.evictions")
-            | None -> ()
-          end;
+                count_event "serve.tenant.evictions")
+              (lru_victim t.tenants (fun (_, tick) -> !tick));
           let env = Env.create (Env.tech t.env_default) in
           Hashtbl.add t.tenants name (env, ref t.tenant_tick);
           Atomic.set t.tenant_count (Hashtbl.length t.tenants);
@@ -376,15 +384,13 @@ let canonical_build t env ~memoizable entity params =
   | Some e ->
       t.memo_tick <- t.memo_tick + 1;
       e.m_tick <- t.memo_tick;
-      Obs.count "serve.memo.hits" 1;
-      Metrics.incr (Metrics.counter "serve.memo.hits");
+      count_event "serve.memo.hits";
       (* Replay the canonical build's diagnostics so a memo-served
          response carries the same report as the cold one. *)
       List.iter Policy.report e.m_diags;
       (e.m_obj, e.m_recorded, true)
   | None ->
-      Obs.count "serve.memo.misses" 1;
-      Metrics.incr (Metrics.counter "serve.memo.misses");
+      count_event "serve.memo.misses";
       let args =
         List.map
           (fun (k, p) ->
@@ -401,29 +407,16 @@ let canonical_build t env ~memoizable entity params =
       List.iter Policy.report build_diags;
       if memoizable then begin
         t.memo_tick <- t.memo_tick + 1;
-        if Hashtbl.length t.memo >= max 1 t.cfg.memo_limit then begin
+        if Hashtbl.length t.memo >= max 1 t.cfg.memo_limit then
           (* Evict the least recently used signature. *)
-          let victim =
-            Hashtbl.fold
-              (fun k e acc ->
-                match acc with
-                | Some (_, tick) when tick <= e.m_tick -> acc
-                | _ -> Some (k, e.m_tick))
-              t.memo None
-          in
-          match victim with
-          | Some (k, _) ->
-              (match Hashtbl.find_opt t.memo k with
-              | Some victim_e ->
-                  ignore
-                    (Atomic.fetch_and_add t.best_count
-                       (-List.length victim_e.m_best))
-              | None -> ());
+          Option.iter
+            (fun k ->
+              let victim = Hashtbl.find t.memo k in
+              ignore
+                (Atomic.fetch_and_add t.best_count (-List.length victim.m_best));
               Hashtbl.remove t.memo k;
-              Obs.count "serve.memo.evictions" 1;
-              Metrics.incr (Metrics.counter "serve.memo.evictions")
-          | None -> ()
-        end;
+              count_event "serve.memo.evictions")
+            (lru_victim t.memo (fun e -> e.m_tick));
         Hashtbl.add t.memo sg
           {
             m_obj = obj;
@@ -571,8 +564,7 @@ let handle_build t (req : Wire.request) ~queue_depth =
                 | Some _ as hit ->
                     t.memo_tick <- t.memo_tick + 1;
                     e.m_tick <- t.memo_tick;
-                    Obs.count "serve.memo.best-hits" 1;
-                    Metrics.incr (Metrics.counter "serve.memo.best_hits");
+                    count_event "serve.memo.best_hits";
                     hit
                 | None -> None)
             | None -> None)

@@ -314,6 +314,25 @@ let test_trace_validator_rejects () =
   | Ok s -> check_int "bare array spans" 1 s.Trace.v_spans
   | Error e -> Alcotest.failf "bare array rejected: %s" e
 
+(* Names are compared as decoded UTF-8: the escape for U+00E9 closes a
+   raw e-acute, but never the escape for U+00E8 (e-grave).  A document
+   nested past the codec's depth bound is an error, not a stack blow-up. *)
+let test_trace_validator_decodes_names () =
+  let pair b e =
+    Printf.sprintf
+      "{\"traceEvents\":[{\"name\":\"%s\",\"ph\":\"B\",\"ts\":1,\"pid\":0,\"tid\":0},{\"name\":\"%s\",\"ph\":\"E\",\"ts\":2,\"pid\":0,\"tid\":0}]}"
+      b e
+  in
+  (match Trace.validate_string (pair "\\u00e9" "\\u00e8") with
+  | Ok _ -> Alcotest.fail "validator matched B \"\\u00e9\" with E \"\\u00e8\""
+  | Error _ -> ());
+  (match Trace.validate_string (pair "\\u00e9" "\xc3\xa9") with
+  | Ok s -> check_int "escaped and raw spellings match" 1 s.Trace.v_spans
+  | Error e -> Alcotest.failf "escaped/raw pair rejected: %s" e);
+  match Trace.validate_string (String.make (1 lsl 20) '[') with
+  | Ok _ -> Alcotest.fail "validator accepted 1 MiB of '['"
+  | Error _ -> ()
+
 (* Per-request exports: a window slice serialised with request-id
    metadata must satisfy the validator, and the metadata discipline is
    enforced — a metadata object without a usable request_id, or spans
@@ -375,6 +394,8 @@ let suite =
     Alcotest.test_case "trace export validates" `Quick test_trace_roundtrip;
     Alcotest.test_case "trace validator rejects malformed input" `Quick
       test_trace_validator_rejects;
+    Alcotest.test_case "trace validator decodes names, bounds depth" `Quick
+      test_trace_validator_decodes_names;
     Alcotest.test_case "event retention stays bounded and exact" `Quick
       test_retention_cap;
     Alcotest.test_case "windows slice the stream per request" `Quick

@@ -318,6 +318,74 @@ let prop_diag_json_roundtrip =
       | Ok d2 -> Diag.equal d d2
       | Error _ -> false)
 
+(* The --diag-json bytes themselves, not only their round-trip. *)
+let test_diag_json_bytes () =
+  check string "list_to_json ~degraded:true"
+    {|{"version":1,"degraded":true,"diagnostics":[{"code":"lang.parse.expected","severity":"error","subsystem":"lang","message":"expected \")\" but got newline","span":{"file":"a.amg","line":3,"col":7},"hint":"add a closing parenthesis","payload":{"token":")"}},{"code":"optimize.degraded","severity":"warning","subsystem":"optimize","message":"search stopped\nafter 3 evaluations","span":null,"hint":null,"payload":{}},{"code":"internal.note","severity":"info","subsystem":"internal","message":"control chars \u0001 and backslash \\ and quote \"","span":null,"hint":null,"payload":{}}]}|}
+    (Diag.list_to_json ~degraded:true sample_diags)
+
+(* --- the JSON codec --- *)
+
+module Json = Diag.Json
+
+(* Any byte may appear in a string: quote, backslash and control bytes
+   are escaped, bytes >= 0x80 pass through raw.  Numbers are finite and
+   include non-integers at every magnitude. *)
+let gen_json =
+  let open QCheck2.Gen in
+  let bytes = string_size ~gen:char (int_range 0 8) in
+  let num =
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        float_range (-1e6) 1e6;
+        map
+          (fun (m, e) -> Float.ldexp m e)
+          (pair (float_range (-1.) 1.) (int_range (-1000) 1000));
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        pure Json.Jnull;
+        map (fun b -> Json.Jbool b) bool;
+        map (fun f -> Json.Jnum f) num;
+        map (fun s -> Json.Jstr s) bytes;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           let sub = self (n / 4) and items g = list_size (int_range 0 4) g in
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Jarr l) (items sub));
+               (1, map (fun l -> Json.Jobj l) (items (pair bytes sub)));
+             ])
+
+let prop_json_roundtrip =
+  QCheck2.Test.make ~name:"JSON codec: of_string (to_string v) = Ok v" ~count:500
+    ~print:Json.to_string gen_json (fun v ->
+      Json.of_string (Json.to_string v) = Ok v)
+
+(* Nesting is bounded: 512 levels parse, 513 are refused with the offset
+   named, and a whole default-size frame of '[' is a fast [Error] from
+   the wire decoder instead of ~100 MB of stack. *)
+let test_json_depth_bound () =
+  let nest k = String.make k '[' ^ String.make k ']' in
+  check bool "512 levels parse" true
+    (Result.is_ok (Json.of_string (nest Json.max_depth)));
+  (match Json.of_string (nest (Json.max_depth + 1)) with
+  | Ok _ -> fail "513 levels accepted"
+  | Error e ->
+      check string "error names the offset"
+        "nesting deeper than 512 at offset 512" e);
+  match Amg_robust.Wire.decode_request (String.make (1 lsl 20) '[') with
+  | Ok _ -> fail "1 MiB of '[' decoded"
+  | Error _ -> ()
+
 (* --- fault-injection plumbing --- *)
 
 let test_parse_spec () =
@@ -473,6 +541,9 @@ let suite =
       test_interrupted_search_leaves_cache_consistent;
     test_case "diag report JSON round-trip" `Quick test_diag_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_diag_json_roundtrip;
+    test_case "diag report JSON bytes" `Quick test_diag_json_bytes;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    test_case "JSON nesting depth is bounded" `Quick test_json_depth_bound;
     test_case "inject spec parsing" `Quick test_parse_spec;
     test_case "probe fires on the scheduled hit" `Quick
       test_probe_fires_on_scheduled_hit;

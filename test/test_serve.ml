@@ -9,6 +9,7 @@ module Diag = Amg_robust.Diag
 module Wire = Amg_robust.Wire
 module Server = Amg_serve.Server
 module Client = Amg_serve.Client
+module Metrics = Amg_obs.Metrics
 
 (* A parameterized stack of four contact rows: the same shape as the
    robustness suite's Stack, but taking W so different requests produce
@@ -384,6 +385,46 @@ let test_tenant_eviction () =
   check int "evicted tenant is cold again (misses)" a1.Wire.cache_misses
     a3.Wire.cache_misses
 
+(* The memo is LRU-bounded through the same victim scan as the tenant
+   table: a third signature evicts the least recently used one, its
+   memoized best results leave the gauge with it, and a repeat of the
+   evicted signature is a memo miss again. *)
+let test_memo_eviction () =
+  with_server ~memo_limit:2 @@ fun _t sock ->
+  let counter name = Metrics.counter_value (Metrics.counter name) in
+  let best_entries () =
+    List.find_map
+      (fun (s : Metrics.sample) ->
+        match s.Metrics.m_value with
+        | Metrics.Gauge v when s.Metrics.m_name = "serve.memo.best_entries" ->
+            Some (int_of_float v)
+        | _ -> None)
+      (Metrics.snapshot ())
+  in
+  let build ?optimize w = ignore (get sock (pack ?optimize ~w ())) in
+  build ~optimize:Wire.Local 4.;
+  build ~optimize:Wire.Local 5.;
+  check (option int) "two best results memoized" (Some 2) (best_entries ());
+  let best_hits = counter "serve.memo.best_hits" in
+  (* replaying W=4's best result makes W=5 the least recently used *)
+  build ~optimize:Wire.Local 4.;
+  check int "repeat served from the best memo" (best_hits + 1)
+    (counter "serve.memo.best_hits");
+  let evictions = counter "serve.memo.evictions" in
+  build 6.;
+  check int "third signature evicts one" (evictions + 1)
+    (counter "serve.memo.evictions");
+  check (option int) "the evicted entry's best result leaves the gauge"
+    (Some 1) (best_entries ());
+  let hits = counter "serve.memo.hits" in
+  build 4.;
+  check int "the recently used signature stayed resident" (hits + 1)
+    (counter "serve.memo.hits");
+  let misses = counter "serve.memo.misses" in
+  build 5.;
+  check int "the evicted signature is a memo miss" (misses + 1)
+    (counter "serve.memo.misses")
+
 (* --- concurrent clients ------------------------------------------------ *)
 
 let test_concurrent_clients () =
@@ -504,7 +545,6 @@ let test_graceful_shutdown () =
 (* --- telemetry: scrape ops, access log, per-request traces ------------- *)
 
 module Json = Diag.Json
-module Metrics = Amg_obs.Metrics
 
 let contains_sub hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -713,6 +753,7 @@ let suite =
       test_determinism;
     test_case "tenant cache scopes are isolated" `Quick test_tenant_isolation;
     test_case "tenant table is LRU-bounded" `Quick test_tenant_eviction;
+    test_case "memo is LRU-bounded" `Quick test_memo_eviction;
     test_case "concurrent clients all answered in order" `Quick
       test_concurrent_clients;
     test_case "budgets degrade to status 3, daemon keeps serving" `Quick
