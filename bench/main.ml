@@ -1668,6 +1668,79 @@ let micro env =
   in
   List.iter (fun (name, ns) -> Fmt.pr "%-28s %12.0f ns/run@." name ns) rows
 
+(* ------------------------------------------------------------------ *)
+(* Build-path work counts: deterministic, so one run is the number.    *)
+(* ------------------------------------------------------------------ *)
+
+(* Allocation (minor-heap words, as bytes of 8-byte words) and Obs
+   counters of the daemon's small builds (DiffPair, Trans) and of the heavy
+   items of the one-shot build path: module E (the golden common-centroid
+   module), the amplifier and the amplifier's DRC.  Unlike wall times
+   these do not move with host load, so a before/after of the contact-
+   array rebuild, the spatial index or the DRC candidate queries reads
+   straight off them. *)
+let build_path env =
+  section "BUILD-PATH  work counts of small builds, module E and the amplifier";
+  let mb words = words *. 8. /. 1e6 in
+  (* After one warm-up run, allocation is read with instrumentation off;
+     the counters come from a third, instrumented run of the same work. *)
+  let measure f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    let words = Gc.minor_words () -. w0 in
+    Amg_obs.Obs.reset ();
+    Amg_obs.Obs.enable ();
+    ignore (f ());
+    let counters = Amg_obs.Obs.counters () in
+    Amg_obs.Obs.disable ();
+    (r, mb words, counters)
+  in
+  let show name ?(unit = "MB") (alloc, counters) keys =
+    Fmt.pr "%-26s %8.1f %s allocated@." name alloc unit;
+    List.iter
+      (fun k ->
+        Fmt.pr "  %-32s %10d@." k
+          (Option.value ~default:0 (List.assoc_opt k counters)))
+      keys
+  in
+  let lobj_keys =
+    [ "lobj.contact_array_rebuilds"; "lobj.contact_arrays_reused" ]
+  and program =
+    Amg_lang.Parser.parse_program ~file:"examples/modules.amg"
+      (In_channel.with_open_bin "examples/modules.amg" In_channel.input_all)
+  in
+  (* The daemon's small builds: interpreting DiffPair and Trans. *)
+  List.iter
+    (fun (entity, params) ->
+      let params = List.map (fun (k, v) -> (k, Amg_lang.Value.Num v)) params in
+      let obj, alloc, counters =
+        measure (fun () -> Amg_lang.Interp.build_recorded env program entity params)
+      in
+      show
+        (Fmt.str "%s (%d shapes)" entity (Lobj.shape_count (fst obj)))
+        ~unit:"kB" (alloc *. 1000., counters) lobj_keys)
+    [ ("DiffPair", [ ("W", 10.); ("L", 5.) ]); ("Trans", [ ("W", 10.); ("L", 5.) ]) ];
+  let sindex_keys = [ "sindex.queries"; "sindex.scanned"; "sindex.hits" ] in
+  let obj, alloc, counters =
+    measure (fun () ->
+        M.Common_centroid.make env ~polarity:M.Mosfet.Pmos ~w:(um 8.)
+          ~l:(um 1.6) ())
+  in
+  show
+    (Fmt.str "module E (%d shapes)" (Lobj.shape_count obj))
+    (alloc, counters) (lobj_keys @ sindex_keys);
+  let r, alloc, counters = measure (fun () -> A.build env) in
+  show
+    (Fmt.str "amplifier (%d shapes)" (Lobj.shape_count r.A.obj))
+    (alloc, counters) (lobj_keys @ sindex_keys);
+  let vios, alloc, counters =
+    measure (fun () -> Amg_drc.Checker.run ~tech:(Env.tech env) r.A.obj)
+  in
+  show
+    (Fmt.str "amplifier DRC (%d findings)" (List.length vios))
+    (alloc, counters) sindex_keys
+
 let () =
   (* The optimizer rows want the whole workload resident: an evicting
      cache churns out exactly the entries the next round resumes from.
@@ -1700,6 +1773,9 @@ let () =
             (int_of_string k, float_of_string s, float_of_string p)
       in
       serve_bench nclients seconds p99;
+      exit 0
+  | _ :: "build_path" :: _ ->
+      build_path (Env.bicmos ());
       exit 0
   | _ -> ());
   let env = Env.bicmos () in

@@ -228,22 +228,38 @@ let check_spacings ~tech obj =
      below its separation, so it lies inside the inflated window.  Partners
      are deduplicated by id (each unordered pair is reported once, from its
      lower-id member) and sorted, which reproduces the all-pairs scan's
-     (i, j) emission order because ascending id is insertion order. *)
+     (i, j) emission order because ascending id is insertion order.  A
+     cross-layer pair without a spacing rule can only be separated by
+     keep-clear (see [Constraints.relation_cls]): when neither the shape nor
+     any shape on the other layer is keep-clear, the pair is Unconstrained
+     and the query is skipped. *)
+  let keep_clear_layers = Hashtbl.create 8 in
+  Array.iter
+    (fun (s : Shape.t) ->
+      if s.Shape.keep_clear then Hashtbl.replace keep_clear_layers s.layer ())
+    shapes;
   for i = 0 to n - 1 do
     let a = shapes.(i) in
     let partners =
       List.concat_map
         (fun layer ->
           let cls = Constraints.classify rules a.Shape.layer layer in
-          let margin = Constraints.margin_cls cls in
-          List.filter_map
-            (fun (b : Shape.t) ->
-              if b.Shape.id > a.Shape.id then
-                match Constraints.relation_cls cls a b with
-                | Constraints.Unconstrained | Constraints.Mergeable -> None
-                | Constraints.Separation sep -> Some (b, sep)
-              else None)
-            (Lobj.near obj ~layer a.Shape.rect ~margin))
+          if
+            (not cls.Constraints.same_layer)
+            && Option.is_none cls.Constraints.space
+            && (not a.Shape.keep_clear)
+            && not (Hashtbl.mem keep_clear_layers layer)
+          then []
+          else
+            let margin = Constraints.margin_cls cls in
+            List.filter_map
+              (fun (b : Shape.t) ->
+                if b.Shape.id > a.Shape.id then
+                  match Constraints.relation_cls cls a b with
+                  | Constraints.Unconstrained | Constraints.Mergeable -> None
+                  | Constraints.Separation sep -> Some (b, sep)
+                else None)
+              (Lobj.near obj ~layer a.Shape.rect ~margin))
         layers
       |> List.sort (fun ((b1 : Shape.t), _) (b2, _) ->
              Int.compare b1.Shape.id b2.Shape.id)

@@ -38,6 +38,18 @@ let parse s =
       v)
     else err (Printf.sprintf "expected %s" lit)
   in
+  (* Four hex digits of a \u escape. *)
+  let hex4 () =
+    let hex = if !pos + 4 <= n then String.sub s !pos 4 else "" in
+    let is_hex = function
+      | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+      | _ -> false
+    in
+    if String.length hex <> 4 || not (String.for_all is_hex hex) then
+      err "bad \\u escape";
+    pos := !pos + 4;
+    int_of_string ("0x" ^ hex)
+  in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
@@ -73,27 +85,28 @@ let parse s =
                   Buffer.add_char b '\012';
                   go ()
               | 'u' ->
-                  let hex = if !pos + 4 <= n then String.sub s !pos 4 else "" in
-                  let is_hex = function
-                    | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
-                    | _ -> false
+                  (* A \u escape names a UTF-16 code unit: a high surrogate
+                     must be followed by an escaped low one, and the pair
+                     is one code point; either half alone is refused. *)
+                  let start = !pos - 2 in
+                  let unpaired half =
+                    pos := start;
+                    err ("unpaired " ^ half ^ " surrogate")
                   in
-                  if String.length hex <> 4 || not (String.for_all is_hex hex)
-                  then err "bad \\u escape";
-                  pos := !pos + 4;
-                  (* Only BMP codepoints; encode as UTF-8. *)
-                  let code = int_of_string ("0x" ^ hex) in
-                  if code < 0x80 then Buffer.add_char b (Char.chr code)
-                  else if code < 0x800 then begin
-                    Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                    Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                  end
-                  else begin
-                    Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                    Buffer.add_char b
-                      (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                    Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                  end;
+                  let hi = hex4 () in
+                  let code =
+                    if hi >= 0xDC00 && hi <= 0xDFFF then unpaired "low"
+                    else if hi < 0xD800 || hi > 0xDBFF then hi
+                    else if !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
+                    then begin
+                      pos := !pos + 2;
+                      let lo = hex4 () in
+                      if lo < 0xDC00 || lo > 0xDFFF then unpaired "high";
+                      0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+                    end
+                    else unpaired "high"
+                  in
+                  Buffer.add_utf_8_uchar b (Uchar.of_int code);
                   go ()
               | _ -> err "bad escape")
         | c ->
@@ -102,21 +115,35 @@ let parse s =
     in
     go ()
   in
+  (* The RFC 8259 grammar: an optional minus, then 0 or a digit run not
+     starting with 0, then optionally a dot and one or more digits, then
+     optionally e or E, an optional sign and one or more digits.  Nothing
+     else ([+1], [.5], [01], [1.], [1e]) is a number. *)
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let digit () = match peek () with Some '0' .. '9' -> true | _ -> false in
+    let digits () =
+      if not (digit ()) then err "bad number";
+      while digit () do
+        advance ()
+      done
     in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    if !pos = start then err "expected number"
-    else
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> err "bad number"
+    if peek () = Some '-' then advance ();
+    (match peek () with
+    | Some '0' -> advance ()
+    | Some '1' .. '9' -> digits ()
+    | _ -> err (if !pos = start then "expected number" else "bad number"));
+    if peek () = Some '.' then begin
+      advance ();
+      digits ()
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+        advance ();
+        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+        digits ()
+    | _ -> ());
+    float_of_string (String.sub s start (!pos - start))
   in
   let rec parse_value depth =
     skip_ws ();
@@ -245,5 +272,9 @@ let to_string v =
 let member name = function Jobj kvs -> List.assoc_opt name kvs | _ -> None
 let str = function Jstr s -> Some s | _ -> None
 let num = function Jnum f -> Some f | _ -> None
-let int = function Jnum f -> Some (int_of_float f) | _ -> None
+(* Integral and well inside the native int range, or [None]: never a
+   truncation. *)
+let int = function
+  | Jnum f when Float.is_integer f && Float.abs f < 0x1p53 -> Some (int_of_float f)
+  | _ -> None
 let bool = function Jbool b -> Some b | _ -> None

@@ -3,11 +3,25 @@ module Region = Amg_geometry.Region
 module Transform = Amg_geometry.Transform
 module Sindex = Amg_geometry.Sindex
 module Rules = Amg_tech.Rules
+module Imap = Map.Make (Int)
 
 type array_spec = {
   cut_layer : string;
   container_ids : int list;
   array_net : string option;
+}
+
+(* The inputs and output of an array's last [Derive.cut_array] call.  The
+   function is pure, so while the rules (physically the same table), the
+   cut layer and the container rectangles are unchanged the cuts are too,
+   and [rederive] reuses them.  The cut layer is part of the key because
+   a restore rewinds [next_id], so an array id can come back naming a
+   different array. *)
+type cut_memo = {
+  m_rules : Rules.t;
+  m_cut_layer : string;
+  m_containers : (string * Rect.t) list;
+  m_cuts : Rect.t list;
 }
 
 (* Delta-log journal behind [snapshot]/[restore].  While at least one
@@ -37,7 +51,12 @@ type undo =
    Bounding boxes are cached: [bb] is the whole-object hull, [layer_bb]
    the per-layer hulls.  A cache entry is either valid or absent (dirty);
    growth (add, pure-growth replace, absorb) extends valid entries in
-   place, removal and shrinking invalidate, translation shifts. *)
+   place, removal and shrinking invalidate, translation shifts.
+
+   [members] counts the live shapes of each array id, kept by the store
+   primitives; [memo] holds each array's last cut derivation.  It is a
+   cache of a pure function keyed by its full input, so it is never
+   journaled and is shared (immutable) by copies. *)
 type t = {
   mutable name : string;
   mutable slots : Shape.t option array;
@@ -51,6 +70,8 @@ type t = {
   mutable ports : Port.t list;
   mutable arrays : (int * array_spec) list;
   mutable next_id : int;
+  members : (int, int) Hashtbl.t; (* array id -> live member shapes *)
+  mutable memo : cut_memo Imap.t; (* array id -> last derivation *)
   mutable journal : undo list; (* most recent first; only while snaps > 0 *)
   mutable j_len : int;
   mutable snaps : int;         (* live snapshots *)
@@ -89,6 +110,8 @@ let create name =
     ports = [];
     arrays = [];
     next_id = 0;
+    members = Hashtbl.create 8;
+    memo = Imap.empty;
     journal = [];
     j_len = 0;
     snaps = 0;
@@ -137,12 +160,21 @@ let ensure_capacity t =
     t.slots <- ns
   end
 
+(* Keep [members] in step with a shape entering (+1) or leaving (-1). *)
+let count_member t (s : Shape.t) d =
+  match s.origin with
+  | Shape.User -> ()
+  | Shape.Array_member a ->
+      let n = d + Option.value ~default:0 (Hashtbl.find_opt t.members a) in
+      if n = 0 then Hashtbl.remove t.members a else Hashtbl.replace t.members a n
+
 let enter t (s : Shape.t) =
   ensure_capacity t;
   t.slots.(t.n_slots) <- Some s;
   Hashtbl.replace t.id2slot s.id t.n_slots;
   t.n_slots <- t.n_slots + 1;
   t.live <- t.live + 1;
+  count_member t s 1;
   Sindex.insert (sindex_of t s.layer) s.id s.rect;
   extend_caches t s.layer s.rect;
   push t (U_enter s)
@@ -199,6 +231,10 @@ let replace t (s : Shape.t) =
       let old = Option.get t.slots.(slot) in
       push t (U_replace (slot, old, s));
       t.slots.(slot) <- Some s;
+      if not (Shape.equal_origin old.Shape.origin s.origin) then begin
+        count_member t old (-1);
+        count_member t s 1
+      end;
       if not (String.equal old.Shape.layer s.layer) then begin
         Sindex.remove (sindex_of t old.layer) old.id;
         Sindex.insert (sindex_of t s.layer) s.id s.rect;
@@ -221,6 +257,7 @@ let remove t id =
       (match t.slots.(slot) with
       | Some s ->
           Sindex.remove (sindex_of t s.layer) s.id;
+          count_member t s (-1);
           dirty_layer t s.layer;
           push t (U_remove (slot, s))
       | None -> ());
@@ -362,6 +399,8 @@ let copy ?name t =
     ports = t.ports;
     arrays = t.arrays;
     next_id = t.next_id;
+    members = Hashtbl.copy t.members;
+    memo = t.memo;
     (* Snapshots name a specific store; the copy starts a fresh history. *)
     journal = [];
     j_len = 0;
@@ -391,14 +430,20 @@ let undo t = function
       Hashtbl.remove t.id2slot s.id;
       t.n_slots <- t.n_slots - 1;
       t.slots.(t.n_slots) <- None;
-      t.live <- t.live - 1
+      t.live <- t.live - 1;
+      count_member t s (-1)
   | U_remove (slot, s) ->
       t.slots.(slot) <- Some s;
       Hashtbl.replace t.id2slot s.id slot;
       t.live <- t.live + 1;
+      count_member t s 1;
       Sindex.insert (sindex_of t s.layer) s.id s.rect
   | U_replace (slot, old, s) ->
       t.slots.(slot) <- Some old;
+      if not (Shape.equal_origin old.Shape.origin s.Shape.origin) then begin
+        count_member t s (-1);
+        count_member t old 1
+      end;
       if not (String.equal old.Shape.layer s.Shape.layer) then
         Sindex.remove (sindex_of t s.layer) s.id;
       Sindex.insert (sindex_of t old.layer) old.id old.rect
@@ -564,7 +609,7 @@ let delta_length d = Array.length d.d_ops
 
 (* Rough heap footprint of the store, for the prefix cache's byte budget.
    Per live shape: the record (~9 fields + a rect), one id-table entry and
-   a handful of spatial-index bin slots; per dead slot one word; plus the
+   a handful of spatial-index cell entries; per dead slot one word; plus the
    fixed tables.  An estimate — eviction needs proportionality, not
    exactness. *)
 let approx_bytes t =
@@ -632,13 +677,7 @@ let arrays_of_container t id =
     t.arrays
 
 let array_member_count t array_id =
-  let n = ref 0 in
-  for i = 0 to t.n_slots - 1 do
-    match t.slots.(i) with
-    | Some s when s.Shape.origin = Shape.Array_member array_id -> incr n
-    | _ -> ()
-  done;
-  !n
+  Option.value ~default:0 (Hashtbl.find_opt t.members array_id)
 
 (* Is this shape a container of some registered array?  If so the compactor
    must not shrink it below the one-cut minimum. *)
@@ -648,34 +687,114 @@ let array_cut_layers_of_container t id =
       if List.mem id spec.container_ids then Some spec.cut_layer else None)
     t.arrays
 
+(* Move the members [old] (descending slots) of an array whose cuts did not
+   change to the end of the store, in ascending order, as [member]s of
+   their rectangles with fresh ids.  The journal records the removals and
+   enters a full rebuild makes, but the spatial index [ix] only renames
+   each key, and the hull caches and member count stay as they are: the
+   same rectangles leave and come back. *)
+let renumber t ix old member =
+  List.iter
+    (fun (s : Shape.t) ->
+      let slot = Hashtbl.find t.id2slot s.id in
+      push t (U_remove (slot, s));
+      t.slots.(slot) <- None;
+      Hashtbl.remove t.id2slot s.id;
+      t.live <- t.live - 1)
+    old;
+  List.iter
+    (fun (o : Shape.t) ->
+      let s = member o.Shape.rect in
+      ensure_capacity t;
+      t.slots.(t.n_slots) <- Some s;
+      Hashtbl.replace t.id2slot s.id t.n_slots;
+      t.n_slots <- t.n_slots + 1;
+      t.live <- t.live + 1;
+      Sindex.rekey ix o.id s.id;
+      push t (U_enter s))
+    (List.rev old);
+  maybe_squeeze t
+
+(* Recompute every array's members from its containers, in array order:
+   the old members go, the new cuts are appended with fresh ids.  The
+   result (shape order, ids, [next_id]) is that of removing each array's
+   members and re-adding [Derive.cut_array]'s cuts, array by array; what
+   it saves is the work.  One pass over the slots groups the members of
+   every array; an array whose rules, cut layer and container rectangles
+   match its memo reuses the memo's cuts instead of re-deriving them; and
+   when the cuts are the rectangles the old members already had, the
+   members are only renumbered ([renumber]). *)
 let rederive t rules =
   Amg_robust.Inject.(probe Contact_rebuild);
   Amg_obs.Obs.count "lobj.contact_array_rebuilds" (List.length t.arrays);
-  List.iter
-    (fun (array_id, spec) ->
-      let members = ref [] in
+  let reused = ref 0 in
+  if not (List.is_empty t.arrays) then begin
+    (* Members per array, in descending slot order. *)
+    let groups = Hashtbl.create 8 in
+    List.iter (fun (id, _) -> Hashtbl.replace groups id []) t.arrays;
+    if Hashtbl.length t.members > 0 then
       for i = 0 to t.n_slots - 1 do
         match t.slots.(i) with
-        | Some s when s.Shape.origin = Shape.Array_member array_id ->
-            members := s.Shape.id :: !members
+        | Some ({ Shape.origin = Shape.Array_member a; _ } as s) -> (
+            match Hashtbl.find_opt groups a with
+            | Some l -> Hashtbl.replace groups a (s :: l)
+            | None -> ())
         | _ -> ()
       done;
-      List.iter (remove t) !members;
-      let containers =
-        List.map
-          (fun id ->
-            let s = find_exn t id in
-            (s.Shape.layer, s.Shape.rect))
-          spec.container_ids
-      in
-      let cuts = Derive.cut_array rules ~containers ~cut_layer:spec.cut_layer in
-      List.iter
-        (fun rect ->
-          ignore
-            (add_shape t ~layer:spec.cut_layer ~rect ?net:spec.array_net
-               ~origin:(Shape.Array_member array_id) ()))
-        cuts)
-    t.arrays
+    List.iter
+      (fun (array_id, spec) ->
+        let containers =
+          List.map
+            (fun id ->
+              let s = find_exn t id in
+              (s.Shape.layer, s.Shape.rect))
+            spec.container_ids
+        in
+        let cuts =
+          match Imap.find_opt array_id t.memo with
+          | Some m
+            when m.m_rules == rules
+                 && String.equal m.m_cut_layer spec.cut_layer
+                 && List.equal
+                      (fun (l1, r1) (l2, r2) -> String.equal l1 l2 && Rect.equal r1 r2)
+                      m.m_containers containers ->
+              incr reused;
+              m.m_cuts
+          | _ ->
+              let cuts =
+                Derive.cut_array rules ~containers ~cut_layer:spec.cut_layer
+              in
+              t.memo <-
+                Imap.add array_id
+                  {
+                    m_rules = rules;
+                    m_cut_layer = spec.cut_layer;
+                    m_containers = containers;
+                    m_cuts = cuts;
+                  }
+                  t.memo;
+              cuts
+        in
+        let old = Hashtbl.find groups array_id in
+        let member rect =
+          Shape.make ~id:(fresh_id t) ~layer:spec.cut_layer ~rect
+            ?net:spec.array_net ~origin:(Shape.Array_member array_id) ()
+        in
+        if
+          (not (List.is_empty old))
+          && List.compare_lengths old cuts = 0
+          && List.for_all2
+               (fun (s : Shape.t) r ->
+                 String.equal s.Shape.layer spec.cut_layer && Rect.equal s.rect r)
+               (List.rev old) cuts
+        then renumber t (Hashtbl.find t.by_layer spec.cut_layer) old member
+        else begin
+          List.iter (fun (s : Shape.t) -> remove t s.Shape.id) old;
+          List.iter (fun rect -> enter t (member rect)) cuts
+        end)
+      t.arrays
+  end;
+  Amg_obs.Obs.count "lobj.contact_arrays_reused" !reused
 
 (* Merge [src] into [t], renumbering ids; returns the id offset applied. *)
 let absorb t src =

@@ -205,7 +205,8 @@ val arrays_of_container : t -> int -> int list
 (** Ids of the registered arrays using shape [id] as a container. *)
 
 val array_member_count : t -> int -> int
-(** Current number of members of the given array. *)
+(** Current number of members of the given array; O(1), the store counts
+    members as they enter and leave. *)
 
 val array_cut_layers_of_container : t -> int -> string list
 (** Cut layers of every registered array that uses shape [id] as a
@@ -214,7 +215,12 @@ val array_cut_layers_of_container : t -> int -> string list
 
 val rederive : t -> Amg_tech.Rules.t -> unit
 (** Recompute all array members from the current container rectangles —
-    the automatic rebuild of §2.3. *)
+    the automatic rebuild of §2.3.  The result is that of removing each
+    array's members and appending its {!Derive.cut_array} cuts with fresh
+    ids, array by array, in registration order.  The cost is one pass over
+    the slots plus the cuts touched: an array whose containers are
+    unchanged since its last derivation reuses that derivation's cuts
+    (counted as [lobj.contact_arrays_reused]). *)
 
 val absorb : t -> t -> int
 (** [absorb t src] appends [src]'s shapes, ports and arrays into [t],

@@ -176,14 +176,16 @@ let of_value v =
     Option.bind (Option.bind (member "subsystem" v) str) subsystem_of_string
   in
   let* message = Option.bind (member "message" v) str in
-  let span =
+  (* An absent line or column reads as 0; a present one must be an
+     integer. *)
+  let coord sp name = match member name sp with None -> Some 0 | Some n -> int n in
+  let* span =
     match member "span" v with
     | Some (Jobj _ as sp) ->
         let file = Option.bind (member "file" sp) str in
-        let line = Option.value ~default:0 (Option.bind (member "line" sp) int) in
-        let col = Option.value ~default:0 (Option.bind (member "col" sp) int) in
-        Some { file; line; col }
-    | _ -> None
+        Option.bind (coord sp "line") (fun line ->
+            Option.map (fun col -> Some { file; line; col }) (coord sp "col"))
+    | _ -> Some None
   in
   let hint = Option.bind (member "hint" v) str in
   let payload =

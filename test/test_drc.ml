@@ -61,6 +61,32 @@ let test_spacing () =
   add o2 ~layer:"metal1" ~net:"b" ~x:(um 3.) ~y:(um 4.) ~w:(um 2.) ~h:(um 2.) ();
   check "diagonal ok" 0 (List.length (Checker.check_spacings ~tech:(tech ()) o2))
 
+(* Layers with no spacing rule between them may overlap, unless one shape
+   is keep-clear and the nets differ; the candidate skip for rule-less
+   layer pairs must keep those, whichever shape comes first. *)
+let test_keep_clear_cross_layer () =
+  let spacing o = List.map kind_name (Checker.check_spacings ~tech:(tech ()) o) in
+  let build ~keep_clear_first ~keep_clear ~net =
+    let o = Lobj.create "kc" in
+    let metal2 () =
+      ignore
+        (Lobj.add_shape o ~layer:"metal2" ~net:"a" ~keep_clear
+           ~rect:(Rect.of_size ~x:0 ~y:0 ~w:(um 4.) ~h:(um 4.)) ())
+    in
+    let poly () = add o ~layer:"poly" ~net ~x:(um 2.) ~y:(um 2.) ~w:(um 4.) ~h:(um 4.) () in
+    if keep_clear_first then (metal2 (); poly ()) else (poly (); metal2 ());
+    o
+  in
+  List.iter
+    (fun first ->
+      Alcotest.(check (list string)) "keep-clear overlap" [ "spacing" ]
+        (spacing (build ~keep_clear_first:first ~keep_clear:true ~net:"b"));
+      Alcotest.(check (list string)) "plain overlap" []
+        (spacing (build ~keep_clear_first:first ~keep_clear:false ~net:"b"));
+      Alcotest.(check (list string)) "same-net keep-clear overlap" []
+        (spacing (build ~keep_clear_first:first ~keep_clear:true ~net:"a")))
+    [ true; false ]
+
 let test_short () =
   let o = Lobj.create "sh" in
   add o ~layer:"metal1" ~net:"a" ~x:0 ~y:0 ~w:(um 2.) ~h:(um 2.) ();
@@ -232,6 +258,8 @@ let suite =
     Alcotest.test_case "cut size" `Quick test_cut_size;
     Alcotest.test_case "spacing (L-inf)" `Quick test_spacing;
     Alcotest.test_case "short" `Quick test_short;
+    Alcotest.test_case "keep-clear across rule-less layers" `Quick
+      test_keep_clear_cross_layer;
     Alcotest.test_case "connected components" `Quick test_connected_component_merging;
     Alcotest.test_case "enclosure" `Quick test_enclosure;
     Alcotest.test_case "gate extension" `Quick test_extension;

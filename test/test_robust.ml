@@ -386,6 +386,59 @@ let test_json_depth_bound () =
   | Ok _ -> fail "1 MiB of '[' decoded"
   | Error _ -> ()
 
+(* A \u escape pair is one code point, written as 4-byte UTF-8; either
+   half alone, or the pair reversed, is refused with the offset of the
+   offending escape. *)
+let test_json_surrogates () =
+  check (result string string) "U+1F600 from its escape pair"
+    (Ok "\xf0\x9f\x98\x80")
+    (Result.map
+       (function Json.Jstr s -> s | _ -> "not a string")
+       (Json.of_string {|"\uD83D\uDE00"|}));
+  check (result string string) "BMP escapes still 1-3 bytes"
+    (Ok "A\xc3\xa9\xe2\x82\xac")
+    (Result.map
+       (function Json.Jstr s -> s | _ -> "not a string")
+       (Json.of_string {|"\u0041\u00e9\u20ac"|}));
+  List.iter
+    (fun (doc, msg) ->
+      match Json.of_string doc with
+      | Ok _ -> failf "%s accepted" doc
+      | Error e -> check string doc msg e)
+    [
+      ({|"\uD83D"|}, "unpaired high surrogate at offset 1");
+      ({|"ab\uD83Dx"|}, "unpaired high surrogate at offset 3");
+      ({|"\uD83D\u0041"|}, "unpaired high surrogate at offset 1");
+      ({|"\uDE00\uD83D"|}, "unpaired low surrogate at offset 1");
+    ]
+
+(* Only RFC 8259 numbers parse; the writer's own images still do, and
+   [Json.int] refuses what is not an integer instead of truncating it. *)
+let test_json_number_grammar () =
+  List.iter
+    (fun doc ->
+      match Json.of_string doc with
+      | Ok _ -> failf "%S accepted" doc
+      | Error _ -> ())
+    [ "+1"; ".5"; "01"; "1."; "1e"; "-"; "1e+"; "-01"; "0x10"; "[1.]"; "[01]"; "nan"; "inf" ];
+  List.iter
+    (fun (doc, f) -> check bool doc true (Json.of_string doc = Ok (Json.Jnum f)))
+    [ ("0", 0.); ("-0", -0.); ("12", 12.); ("1.5", 1.5); ("-2.5e3", -2500.);
+      ("1E+2", 100.); ("3e-2", 0.03); ("0.1", 0.1) ];
+  List.iter
+    (fun f ->
+      let image = Json.to_string (Json.Jnum f) in
+      check bool image true (Json.of_string image = Ok (Json.Jnum f)))
+    [ 0.; 1e15; 1e300; 1. /. 3.; 1e-7; -123456789.; 5e-324 ];
+  check bool "null image" true (Json.of_string (Json.to_string (Json.Jnum nan)) = Ok Json.Jnull);
+  check (option int) "int 2" (Some 2) (Json.int (Json.Jnum 2.));
+  check (option int) "int 2.7" None (Json.int (Json.Jnum 2.7));
+  check (option int) "int 1e300" None (Json.int (Json.Jnum 1e300));
+  check bool "diag span with line 2.7 refused" true
+    (Result.is_error
+       (Diag.of_json
+          {|{"code":"c","severity":"error","subsystem":"lang","message":"m","span":{"file":null,"line":2.7,"col":1}}|}))
+
 (* --- fault-injection plumbing --- *)
 
 let test_parse_spec () =
@@ -544,6 +597,8 @@ let suite =
     test_case "diag report JSON bytes" `Quick test_diag_json_bytes;
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     test_case "JSON nesting depth is bounded" `Quick test_json_depth_bound;
+    test_case "JSON surrogate pairs decode to UTF-8" `Quick test_json_surrogates;
+    test_case "JSON number grammar is RFC 8259" `Quick test_json_number_grammar;
     test_case "inject spec parsing" `Quick test_parse_spec;
     test_case "probe fires on the scheduled hit" `Quick
       test_probe_fires_on_scheduled_hit;
